@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-json bench-check golden fuzz-smoke soak fsck-smoke loadgen-smoke
+.PHONY: build test check bench bench-json bench-check golden fuzz-smoke soak fsck-smoke loadgen-smoke loc
 
 build:
 	$(GO) build ./...
@@ -106,3 +106,12 @@ loadgen-smoke:
 fsck-smoke:
 	$(GO) build -race -o atpg-race ./cmd/atpg
 	./scripts/soak.sh fsck
+
+# Go line counts of the root module (perfbench/ is a module of its own; hidden
+# directories hold build outputs): production files, then _test.go files. Net
+# production lines are a tracked result of every change.
+loc:
+	@find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print0 \
+		| xargs -0 cat | wc -l | awk '{print "production", $$1}'
+	@find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*_test.go' -print0 \
+		| xargs -0 cat | wc -l | awk '{print "test", $$1}'

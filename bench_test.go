@@ -491,9 +491,10 @@ func BenchmarkDeterministicATPG(b *testing.B) {
 	b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "faults/s")
 }
 
-// BenchmarkParallelWorkers measures the parallel fault pipeline against the
-// serial loop on one Table II circuit. With work-bounded budgets the outputs
-// are bit-identical by construction (internal/hybrid/parallel_test.go); this
+// BenchmarkParallelWorkers measures the fault-loop pool at four workers
+// against one worker on one Table II circuit. With work-bounded budgets the
+// outputs are bit-identical by construction (internal/hybrid/parallel_test.go
+// holds both to the serial oracle); this
 // benchmark uses the paper's wall-clock budgets, so its legs may diverge in
 // vectors — det/vec are reported to make that visible. Note the committed
 // BENCH snapshot comes from a single-CPU container: the ~3x it records at

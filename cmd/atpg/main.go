@@ -20,7 +20,7 @@
 // The fault pipeline is parallel: -workers N (default GOMAXPROCS) runs up
 // to N per-fault searches concurrently behind an ordered-commit merge, so
 // the output — test set, statistics, telemetry, checkpoint journal — is
-// bit-identical to the serial run's for the same seed. The worker count is
+// bit-identical to the -workers 1 run's for the same seed. The worker count is
 // outside the reproducibility contract: a journal written at one -workers
 // value resumes correctly at any other, and with the memory governor armed
 // the scheduler sheds workers before it sheds search effort.

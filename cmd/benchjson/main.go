@@ -30,7 +30,7 @@ import (
 	"strconv"
 	"strings"
 
-	"gahitec/internal/runctl"
+	"gahitec/internal/durable"
 )
 
 // Result is one parsed benchmark line.
@@ -95,7 +95,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *out != "" {
-		if err := runctl.SaveJSON(*out, results); err != nil {
+		// Unsealed: BENCH_*.json snapshots are plain JSON that -compare and
+		// the committed baselines share.
+		data, err := json.MarshalIndent(results, "", " ")
+		if err == nil {
+			err = durable.WriteFile(durable.Disk, *out, data, 0o644)
+		}
+		if err != nil {
 			fmt.Fprintf(stderr, "benchjson: %v\n", err)
 			return 1
 		}

@@ -61,6 +61,24 @@ func TestSaveLoadJSON(t *testing.T) {
 	if err := LoadJSON(Disk, path, "test.doc", &got); err != nil || got.N != 9 {
 		t.Fatalf("LoadJSON = (%+v, %v)", got, err)
 	}
+	// No temp litter left behind.
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory not clean after save: %v", entries)
+	}
+}
+
+func TestSaveJSONFailureLeavesNoPartialFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing-subdir", "journal.json")
+	if err := SaveJSON(Disk, path, KindCheckpoint, map[string]int{"a": 1}); err == nil {
+		t.Fatal("expected error writing into a missing directory")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("partial journal left behind")
+	}
 }
 
 // TestFaultFSTornWrite proves the central chaos primitive: a torn write at
@@ -182,5 +200,27 @@ func TestSaveJSONRetryRecoversTransientFault(t *testing.T) {
 	var got map[string]int
 	if err := LoadJSON(Disk, path, KindCheckpoint, &got); err != nil || got["pass"] != 1 {
 		t.Fatalf("LoadJSON = (%v, %v)", got, err)
+	}
+	if n := h.Calls("ck.write"); n != 2 {
+		t.Fatalf("site entered %d times, want 2 (fail then retry)", n)
+	}
+}
+
+func TestSaveJSONRetryExhaustsBudget(t *testing.T) {
+	h, err := runctl.ParseInjectSpec("ck.write:*:fail")
+	if err != nil {
+		t.Fatalf("ParseInjectSpec: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "checkpoint.json")
+	saveErr := SaveJSONRetry(Disk, h, "ck.write", path, KindCheckpoint, 1)
+	var inj runctl.InjectedFailure
+	if !errors.As(saveErr, &inj) || inj.Site != "ck.write" {
+		t.Fatalf("SaveJSONRetry = %v, want InjectedFailure at ck.write", saveErr)
+	}
+	if n := h.Calls("ck.write"); n != runctl.WriteAttempts {
+		t.Fatalf("site entered %d times, want %d", n, runctl.WriteAttempts)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint published despite every attempt failing (stat err %v)", err)
 	}
 }

@@ -78,7 +78,7 @@ func ReadSealed(fsys FS, path, kind string) (payload []byte, legacy bool, err er
 	return payload, false, nil
 }
 
-// SaveJSON marshals v (indented, like runctl.SaveJSON) and writes it sealed.
+// SaveJSON marshals v (indented by one space) and writes it sealed.
 func SaveJSON(fsys FS, path, kind string, v any) error {
 	data, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
@@ -87,8 +87,8 @@ func SaveJSON(fsys FS, path, kind string, v any) error {
 	return WriteSealed(fsys, path, kind, data)
 }
 
-// LoadJSON reads a sealed JSON artifact into v under runctl's strict
-// single-document contract. Legacy envelope-less files are accepted.
+// LoadJSON reads a sealed JSON artifact into v under runctl.ParseJSON's
+// strict single-document contract. Legacy envelope-less files are accepted.
 func LoadJSON(fsys FS, path, kind string, v any) error {
 	payload, _, err := ReadSealed(fsys, path, kind)
 	if err != nil {
@@ -98,10 +98,11 @@ func LoadJSON(fsys FS, path, kind string, v any) error {
 }
 
 // SaveJSONRetry is SaveJSON with runctl's bounded retry-with-backoff and a
-// fault-injection site consulted once per attempt — the sealed counterpart of
-// runctl.SaveJSONRetry, for callers that degrade rather than abort when the
-// disk stays broken. Corruption-class failures are not what this guards (a
-// write either lands or errors); the retries absorb transient EIO.
+// fault-injection site consulted once per attempt: an armed "site:k:fail"
+// rule makes the k-th attempt fail with runctl.InjectedFailure. It is for
+// callers that degrade rather than abort when the disk stays broken.
+// Corruption-class failures are not what this guards (a write either lands
+// or errors); the retries absorb transient EIO.
 func SaveJSONRetry(fsys FS, h *runctl.Hooks, site, path, kind string, v any) error {
 	return runctl.Retry(runctl.WriteAttempts, runctl.WriteBackoff, func() error {
 		if h.Enter(site) == runctl.ActFail {

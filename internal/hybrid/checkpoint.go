@@ -24,8 +24,8 @@ const CheckpointVersion = 4
 // untestables, the schedule position, and the exact position in the seeded
 // pseudo-random stream.
 //
-// The struct is plain JSON; runctl.SaveJSON writes it atomically so an
-// interrupted writer never leaves a torn journal.
+// The struct is plain JSON; durable.SaveJSON writes it sealed and atomically
+// so an interrupted writer never leaves a torn journal.
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Circuit string `json:"circuit"`

@@ -91,12 +91,13 @@ type Config struct {
 	// HITEC proper. Exposed for the ablation benchmarks.
 	FaultFreeJustify bool
 
-	// Workers sizes the parallel fault pipeline: per-fault searches for up
-	// to Workers faults run concurrently and speculatively, with outcomes
-	// committed strictly in serial fault order, so the test set, report and
-	// checkpoint journal are bit-identical to a serial run with the same
-	// seed (per-fault wall-clock limits permitting, exactly as with
-	// Resume). 0 or 1 runs the classic serial loop. The worker count is
+	// Workers sizes the fault-loop pool: per-fault searches for up to
+	// Workers faults run concurrently and speculatively, with outcomes
+	// committed strictly in fault order, so the test set, report and
+	// checkpoint journal are bit-identical to a one-worker run with the
+	// same seed (per-fault wall-clock limits permitting, exactly as with
+	// Resume). 0 or 1 runs one search at a time, in fault order, through
+	// the same pool, with no speculation. The worker count is
 	// deliberately outside the reproducibility contract: it may differ
 	// between runs, change mid-run under the scheduler, or change across a
 	// resume without affecting any output. With a Governor installed,
@@ -122,7 +123,7 @@ type Config struct {
 	// faults, so resuming one replays the interrupted fault from scratch
 	// and the resumed run stays bit-identical to an uninterrupted one
 	// (same seed, per-fault time limits permitting). The callback
-	// typically persists the snapshot with runctl.SaveJSON.
+	// typically persists the snapshot with durable.SaveJSON.
 	Checkpoint func(*Checkpoint)
 
 	// CheckpointEvery is the fault-boundary cadence of the Checkpoint

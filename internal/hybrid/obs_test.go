@@ -90,6 +90,75 @@ func TestObsReconcilesWithPhaseStats(t *testing.T) {
 	}
 }
 
+// Target spans time the search, not only its commit: each fault's target
+// span opens when its search starts, so it contains the fault's
+// excite_prop, ga_justify, det_justify and verify spans in time — with one
+// worker (where the trace's phase accounting relies on it) and with more.
+func TestTargetSpansContainTheirSearch(t *testing.T) {
+	c := mustParse(t, s27, "s27")
+	faults := fault.Collapse(c)
+	search := map[string]bool{"excite_prop": true, "ga_justify": true, "det_justify": true, "verify": true}
+	// A trace event is stamped when it is written, a little after its span
+	// ended, so a computed start may lie late by that delay (perfbench's
+	// nestSlack). The duration check below is exact.
+	const slackMS = 5.0
+
+	counts := []int{1, 4}
+	if testing.Short() {
+		counts = counts[:1] // the race tier runs close to its time limit
+	}
+	for _, workers := range counts {
+		var buf bytes.Buffer
+		cfg := deterministicConfig(48)
+		cfg.Obs = obs.New(&buf)
+		cfg.Workers = workers
+		Run(c, faults, cfg)
+
+		var children []obs.Event
+		var targets, searchUS int64
+		sc := bufio.NewScanner(&buf)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var e obs.Event
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case e.Ev != "span":
+			case search[e.Phase]:
+				children = append(children, e)
+			case e.Phase == "target":
+				start := e.TMS - float64(e.DurUS)/1000
+				var sum int64
+				for _, ch := range children {
+					if ch.Fault != e.Fault || ch.Pass != e.Pass {
+						t.Fatalf("workers=%d: %s span of %s (pass %d) outside any target span; next target is %s (pass %d)",
+							workers, ch.Phase, ch.Fault, ch.Pass, e.Fault, e.Pass)
+					}
+					if chStart := ch.TMS - float64(ch.DurUS)/1000; chStart < start-slackMS || ch.TMS > e.TMS {
+						t.Fatalf("workers=%d: %s span [%.3f, %.3f] ms of %s not inside its target span [%.3f, %.3f]",
+							workers, ch.Phase, chStart, ch.TMS, e.Fault, start, e.TMS)
+					}
+					sum += ch.DurUS
+				}
+				if sum > e.DurUS {
+					t.Fatalf("workers=%d: target span of %s lasted %d us, its search spans %d us",
+						workers, e.Fault, e.DurUS, sum)
+				}
+				targets++
+				searchUS += sum
+				children = children[:0]
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if targets == 0 || searchUS == 0 {
+			t.Fatalf("workers=%d: %d target spans over %d us of search; the test is vacuous", workers, targets, searchUS)
+		}
+	}
+}
+
 // Audit telemetry reconciles with the audit report.
 func TestObsAuditCounters(t *testing.T) {
 	c := mustParse(t, s27, "s27")

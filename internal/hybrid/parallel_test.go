@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gahitec/internal/circuits"
 	"gahitec/internal/fault"
 	"gahitec/internal/obs"
 	"gahitec/internal/runctl"
@@ -32,27 +33,33 @@ func sameMetrics(t *testing.T, label string, want, got *obs.Recorder) {
 	}
 }
 
-// The ordered-commit contract: a parallel run's outputs are bit-identical
-// to the serial run's for the same seed, whatever the worker count. The
-// config uses work-bounded budgets (generous TimePerFault), as the Resume
-// contract requires — wall-clock limits can bind differently under CPU
-// contention.
+// poolWorkers are the worker counts every equivalence test holds the pool
+// driver to the serial oracle at.
+var poolWorkers = []int{1, 2, 4, 8}
+
+// The ordered-commit contract: the pool driver's outputs are bit-identical
+// to the serial oracle's (serial_test.go) for the same seed, whatever the
+// worker count. The config uses work-bounded budgets (generous
+// TimePerFault), as the Resume contract requires — wall-clock limits can
+// bind differently under CPU contention.
 func TestParallelBitIdenticalToSerial(t *testing.T) {
 	c := mustParse(t, s27, "s27")
 	faults := fault.Collapse(c)
 
-	run := func(workers int) (*Result, *obs.Recorder) {
+	config := func(workers int) (Config, *obs.Recorder) {
 		rec := obs.New(nil)
 		cfg := deterministicConfig(41)
 		cfg.Obs = rec
 		cfg.Audit = true
 		cfg.Workers = workers
-		return Run(c, faults, cfg), rec
+		return cfg, rec
 	}
 
-	serial, serialRec := run(1)
-	for _, workers := range []int{2, 8} {
-		par, parRec := run(workers)
+	cfg, serialRec := config(1)
+	serial := serialRun(c, faults, cfg)
+	for _, workers := range poolWorkers {
+		cfg, parRec := config(workers)
+		par := Run(c, faults, cfg)
 		sameResults(t, serial, par)
 		for i, f := range serial.Untestable {
 			if par.Untestable[i] != f {
@@ -73,35 +80,50 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// The parallel preprocessing screen marks exactly the untestables the
-// serial screen marks, in the same order.
+// The pooled preprocessing screen marks exactly the untestables the serial
+// oracle's screen marks, in the same order, at every worker count.
 func TestParallelPreprocessMatchesSerial(t *testing.T) {
-	c := mustParse(t, s27, "s27")
+	// s27 has no untestable faults; s298 gives the screen real proofs.
+	c, err := circuits.Get("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
 	faults := fault.Collapse(c)
 
-	run := func(workers int) *Result {
+	config := func(workers int) Config {
 		cfg := deterministicConfig(42)
+		// One cheap pass: the screen is what is under test.
+		cfg.Passes = []Pass{{Method: MethodGA, TimePerFault: time.Hour, Population: 16, Generations: 2, SeqLen: 8, MaxBacktracks: 100}}
 		cfg.PreprocessUntestable = true
 		cfg.Workers = workers
-		return Run(c, faults, cfg)
+		return cfg
 	}
-	serial := run(1)
-	par := run(4)
-	sameResults(t, serial, par)
-	if serial.Phases.Preprocessed != par.Phases.Preprocessed {
-		t.Fatalf("preprocessed %d serially, %d in parallel",
-			serial.Phases.Preprocessed, par.Phases.Preprocessed)
+	serial := serialRun(c, faults, config(1))
+	if serial.Phases.Preprocessed == 0 {
+		t.Fatal("the screen proved nothing untestable; the comparison is vacuous")
 	}
-	for i, f := range serial.Untestable {
-		if par.Untestable[i] != f {
-			t.Fatalf("untestable order diverged at %d", i)
+	for _, workers := range poolWorkers {
+		par := Run(c, faults, config(workers))
+		sameResults(t, serial, par)
+		if serial.Phases.Preprocessed != par.Phases.Preprocessed {
+			t.Fatalf("workers=%d: preprocessed %d serially, %d in the pool",
+				workers, serial.Phases.Preprocessed, par.Phases.Preprocessed)
+		}
+		if len(par.Untestable) != len(serial.Untestable) {
+			t.Fatalf("workers=%d: %d untestable, serial oracle %d",
+				workers, len(par.Untestable), len(serial.Untestable))
+		}
+		for i, f := range serial.Untestable {
+			if par.Untestable[i] != f {
+				t.Fatalf("workers=%d: untestable order diverged at %d", workers, i)
+			}
 		}
 	}
 }
 
 // Resume under concurrency: interrupt a workers=4 run mid-pass (the
-// SIGINT path), then resume with workers=1 and workers=8. Both resumed
-// runs — and their merged telemetry — must equal the uninterrupted serial
+// SIGINT path), then resume with every pool worker count. Each resumed run
+// — and its merged telemetry — must equal the uninterrupted serial oracle
 // run's, so worker count provably stays outside the reproducibility
 // contract even across an interrupt boundary.
 func TestParallelResumeAcrossWorkerCounts(t *testing.T) {
@@ -116,7 +138,7 @@ func TestParallelResumeAcrossWorkerCounts(t *testing.T) {
 	}
 
 	fullRec := obs.New(nil)
-	full := Run(c, faults, mkCfg(1, fullRec))
+	full := serialRun(c, faults, mkCfg(1, fullRec))
 
 	// Interrupt a parallel run mid-merge: cancel once a handful of fault
 	// boundaries have committed, keeping the last snapshot.
@@ -141,7 +163,7 @@ func TestParallelResumeAcrossWorkerCounts(t *testing.T) {
 		t.Fatal("no snapshot emitted before interrupt")
 	}
 
-	for _, workers := range []int{1, 8} {
+	for _, workers := range poolWorkers {
 		rec := obs.New(nil)
 		res, err := Resume(context.Background(), c, faults, mkCfg(workers, rec), last)
 		if err != nil {
@@ -152,7 +174,7 @@ func TestParallelResumeAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("resume workers=%d: phase stats diverged:\nfull:    %+v\nresumed: %+v",
 				workers, full.Phases, res.Phases)
 		}
-		sameMetrics(t, "resume", fullRec, rec)
+		sameMetrics(t, fmt.Sprintf("resume workers=%d", workers), fullRec, rec)
 	}
 }
 
@@ -333,9 +355,19 @@ func TestParallelSchedulerThrottlesUnderPressure(t *testing.T) {
 		t.Fatalf("no worker-throttle decisions under pressure: %+v", a.Degradations)
 	}
 
-	// The serial governed run sheds effort directly: level changes only,
-	// no worker fields on its decisions.
+	// The one-worker governed run sheds effort directly: level changes
+	// only, no worker fields on its decisions — the serial oracle's exact
+	// decision log.
 	serial := run(1)
+	oracleCfg := deterministicConfig(47)
+	oracleCfg.Workers = 1
+	oracleCfg.Governor = &supervise.Governor{SoftBytes: 100, Probe: pressureProbe()}
+	oracle := serialRun(c, faults, oracleCfg)
+	sameResults(t, oracle, serial)
+	if !reflect.DeepEqual(oracle.Degradations, serial.Degradations) {
+		t.Fatalf("one-worker decision log diverged from the serial oracle's:\n%+v\n%+v",
+			serial.Degradations, oracle.Degradations)
+	}
 	levelChanges := 0
 	for _, d := range serial.Degradations {
 		if d.FromWorkers != 0 || d.ToWorkers != 0 {

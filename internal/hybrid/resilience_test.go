@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gahitec/internal/durable"
 	"gahitec/internal/fault"
 	"gahitec/internal/runctl"
 )
@@ -290,11 +291,11 @@ func TestCheckpointJournalRoundTrip(t *testing.T) {
 	}
 
 	path := t.TempDir() + "/ck.json"
-	if err := runctl.SaveJSON(path, mid); err != nil {
+	if err := durable.SaveJSON(durable.Disk, path, durable.KindCheckpoint, mid); err != nil {
 		t.Fatal(err)
 	}
 	var loaded Checkpoint
-	if err := runctl.LoadJSON(path, &loaded); err != nil {
+	if err := durable.LoadJSON(durable.Disk, path, durable.KindCheckpoint, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Resume(context.Background(), c, faults, deterministicConfig(5), &loaded)

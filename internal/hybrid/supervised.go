@@ -33,14 +33,15 @@ type attempt struct {
 	startGood logic.Vector
 
 	// label is the fault's telemetry label; rec is the recorder the search
-	// body charges and engine the ATPG engine bound to it. Serially these
-	// are the run recorder and engine; a speculative parallel attempt gets
-	// a forked child recorder instead, so an attempt that is invalidated
-	// and discarded leaves no trace in the run's metrics (the committed
-	// attempt's child is adopted into the parent at commit).
+	// body charges and engine the ATPG engine bound to it. With one worker
+	// these are the run recorder and engine; a speculative multi-worker
+	// attempt gets a forked child recorder instead (forked), so an attempt
+	// that is invalidated and discarded leaves no trace in the run's
+	// metrics (the committed attempt's child is adopted at commit).
 	label  string
 	rec    *obs.Recorder
 	engine *atpg.Engine
+	forked bool
 }
 
 // attemptResult is what the search body produces, mutated in place so the
@@ -60,16 +61,16 @@ type attemptResult struct {
 // "detected", "untestable", "undecided", "panic", "preempt_ceiling" or
 // "preempt_stall".
 func (r *runner) superviseTarget(f fault.Fault, pass Pass, passNo int, subSeed int64) (newly []fault.Fault, accepted bool, outcome string) {
-	eff := effectivePass(pass, r.sampleGovernor(passNo))
+	eff := effectivePass(pass, r.cfg.Governor.Sample(passNo))
 	at := r.newAttempt(f, eff, passNo, subSeed)
 	r.res.Phases.Targeted++
-	att, verdict := r.runAttempt(at)
+	att, verdict := r.runAttempt(r.ctx, at)
 	return r.applyAttempt(at, att, verdict)
 }
 
 // newAttempt captures one fault attempt's inputs from the committed run
-// state, bound to the run's own recorder and engine (the serial/inline
-// shape; the parallel driver substitutes a forked recorder).
+// state, bound to the run's own recorder and engine (a multi-worker pass
+// substitutes a forked pair).
 func (r *runner) newAttempt(f fault.Fault, eff Pass, passNo int, subSeed int64) attempt {
 	return attempt{
 		f:         f,
@@ -86,9 +87,9 @@ func (r *runner) newAttempt(f fault.Fault, eff Pass, passNo int, subSeed int64) 
 // runAttempt executes one attempt's search body under the configured
 // watchdog, blocking the calling goroutine until the body returns or is
 // abandoned.
-func (r *runner) runAttempt(at attempt) (*attemptResult, supervise.Verdict) {
+func (r *runner) runAttempt(ctx context.Context, at attempt) (*attemptResult, supervise.Verdict) {
 	att := &attemptResult{}
-	verdict := r.cfg.Watchdog.Do(r.ctx, func(ctx context.Context, pulse *runctl.Pulse) {
+	verdict := r.cfg.Watchdog.Do(ctx, func(ctx context.Context, pulse *runctl.Pulse) {
 		r.searchFault(ctx, pulse, att, at)
 	})
 	return att, verdict
@@ -102,15 +103,6 @@ func effectivePass(pass Pass, lvl supervise.Level) Pass {
 		eff.JustifyAttempts = 1
 	}
 	return eff
-}
-
-// sampleGovernor probes memory pressure at this fault boundary and records
-// any level change in the run's degradation log.
-func (r *runner) sampleGovernor(passNo int) supervise.Level {
-	if !r.cfg.Governor.Enabled() {
-		return supervise.LevelNormal
-	}
-	return r.cfg.Governor.Sample(passNo)
 }
 
 // degradePass maps a governor level to tighter per-fault search parameters:

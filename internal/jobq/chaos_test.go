@@ -3,6 +3,7 @@ package jobq
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,7 +15,6 @@ import (
 	"gahitec/internal/durable"
 	"gahitec/internal/hybrid"
 	"gahitec/internal/obs"
-	"gahitec/internal/runctl"
 	"gahitec/internal/supervise"
 )
 
@@ -86,7 +86,13 @@ func simulateKill9(t *testing.T, q *Queue) {
 		file := jobFile{ID: in.ID, Spec: in.Spec, Status: in.Status}
 		file.Status.State = Running
 		file.Status.NextRetryMS = 0
-		if err := runctl.SaveJSON(filepath.Join(j.Dir, "job.json"), &file); err != nil {
+		// Unsealed, as a pre-envelope build left its journals: recovery
+		// must accept the legacy format too.
+		data, err := json.MarshalIndent(&file, "", " ")
+		if err == nil {
+			err = durable.WriteFile(durable.Disk, filepath.Join(j.Dir, "job.json"), data, 0o644)
+		}
+		if err != nil {
 			t.Fatalf("rewriting %s journal: %v", in.ID, err)
 		}
 	}

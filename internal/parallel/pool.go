@@ -1,6 +1,7 @@
 // Package parallel provides the supervised worker pool behind the hybrid
-// driver's parallel fault pipeline: speculative out-of-order execution with
-// strictly ordered commits.
+// package's fault loop: speculative out-of-order execution with strictly
+// ordered commits. Every worker count runs through it; with one worker it
+// degenerates to a plain in-order loop.
 //
 // The model is a fixed list of items (the pass's fault targets) whose
 // results must be merged in item order, where executing item i may depend on
@@ -15,9 +16,10 @@
 // costs wasted work, never wrong output — the committed sequence is exactly
 // the sequence a serial loop would have produced.
 //
-// All Spec and Commit calls happen on the coordinator goroutine (the one
-// that called Run), so they may touch shared run state without locks; only
-// Exec runs concurrently, and it must confine itself to its spec.
+// All Reset, Spec, Reach and Commit calls happen on the coordinator
+// goroutine (the one that called Run), so they may touch shared run state
+// without locks; only Exec runs concurrently, and it must confine itself to
+// its spec.
 package parallel
 
 import "context"
@@ -50,7 +52,8 @@ type Config[S, R any] struct {
 	Workers int // initial dispatch cap (min 1)
 
 	// Window bounds how far ahead of the commit cursor the pool specs and
-	// dispatches (default 2*Workers+2). A bounded window caps both wasted
+	// dispatches (default 2*Workers+2, or 1 for a single worker, which can
+	// never run ahead of the cursor). A bounded window caps both wasted
 	// speculation after an invalidation and the state held by pending specs.
 	Window int
 
@@ -66,6 +69,15 @@ type Config[S, R any] struct {
 	// commits without a Commit call. Skips must be stable within an epoch:
 	// state committed later may only be reflected after an Invalidate.
 	Spec func(i int) (spec S, run bool)
+
+	// Reach, if non-nil, runs on the coordinator once per non-skipped item,
+	// when the commit cursor reaches it: every earlier item has committed
+	// and item i has not. With a single worker the item has not been
+	// dispatched yet, so a driver can take per-item decisions here at
+	// exactly the point a serial loop would. Its Directive applies like a
+	// Commit's, except that Invalidate re-specs item i itself along with
+	// everything after it.
+	Reach func(i int) Directive
 
 	// Exec runs one job on a worker goroutine. The context is cancelled
 	// when the job's epoch is invalidated or the pool stops; Exec should
@@ -93,9 +105,9 @@ type slot[S, R any] struct {
 }
 
 // Run drives the pool to completion and reports whether every item was
-// committed (false: a Commit returned Stop). Run returns only after every
-// worker goroutine it started has finished, so Exec closures never outlive
-// the call.
+// committed (false: a Reach or Commit returned Stop). Run returns only after
+// every worker goroutine it started has finished, so Exec closures never
+// outlive the call.
 func Run[S, R any](ctx context.Context, cfg Config[S, R]) bool {
 	if cfg.Items <= 0 {
 		return true
@@ -105,6 +117,9 @@ func Run[S, R any](ctx context.Context, cfg Config[S, R]) bool {
 	}
 	if cfg.Window < 1 {
 		cfg.Window = 2*cfg.Workers + 2
+		if cfg.Workers == 1 {
+			cfg.Window = 1
+		}
 	}
 
 	type outcome struct {
@@ -112,22 +127,26 @@ func Run[S, R any](ctx context.Context, cfg Config[S, R]) bool {
 		epoch uint64
 		res   R
 	}
-	slots := make([]slot[S, R], cfg.Items)
+	// Every specced or in-flight item lies in [cursor, cursor+Window), so a
+	// ring of Window slots holds them all: item i lives in slots[i%Window].
+	// A slot still holds its previous item's state until fill overwrites it,
+	// which is why the loop fills before it reads the cursor's slot: every
+	// slot in [cursor, specced) was written this epoch.
+	slots := make([]slot[S, R], cfg.Window)
+	at := func(i int) *slot[S, R] { return &slots[i%cfg.Window] }
 	results := make(chan outcome)
 	var (
 		epoch    uint64
 		capacity = cfg.Workers
 		inflight = 0
-		cursor   = 0 // lowest uncommitted item
-		specced  = 0 // next item to spec this epoch
+		cursor   = 0  // lowest uncommitted item
+		specced  = 0  // next item to spec this epoch
+		reached  = -1 // last item handed to Reach
 	)
 	// Each epoch gets its own cancellable context; the deferred closure always
 	// cancels the *current* epoch's, and stale epochs are cancelled at the
 	// invalidation that retired them.
-	epochCtx := func() (context.Context, context.CancelFunc) {
-		return context.WithCancel(ctx)
-	}
-	ectx, ecancel := epochCtx()
+	ectx, ecancel := context.WithCancel(ctx)
 	defer func() { ecancel() }()
 
 	drain := func() {
@@ -138,78 +157,96 @@ func Run[S, R any](ctx context.Context, cfg Config[S, R]) bool {
 		}
 	}
 
+	// reset starts an epoch's speculation at the cursor.
 	reset := func() {
 		if cfg.Reset != nil {
 			cfg.Reset()
 		}
 		specced = cursor
-		for i := cursor; i < cfg.Items; i++ {
-			slots[i] = slot[S, R]{}
+	}
+	invalidate := func() {
+		epoch++
+		ecancel()
+		ectx, ecancel = context.WithCancel(ctx)
+		reset()
+	}
+	// apply carries out a Reach or Commit directive's worker cap and reports
+	// whether the pool must stop.
+	apply := func(d Directive) (stop bool) {
+		if d.Workers > 0 {
+			capacity = d.Workers
+		}
+		if d.Verdict == Stop {
+			drain()
+			return true
+		}
+		return false
+	}
+
+	// fill specs up to the window's edge.
+	fill := func() {
+		limit := min(cursor+cfg.Window, cfg.Items)
+		for ; specced < limit; specced++ {
+			s := slot[S, R]{state: slotSkipped}
+			if spec, run := cfg.Spec(specced); run {
+				s = slot[S, R]{state: slotPending, spec: spec}
+			}
+			*at(specced) = s
 		}
 	}
-	reset()
-
-	dispatch := func() {
-		limit := cursor + cfg.Window
-		if limit > cfg.Items {
-			limit = cfg.Items
-		}
-		for specced < limit {
-			if spec, run := cfg.Spec(specced); run {
-				slots[specced] = slot[S, R]{state: slotPending, spec: spec}
-			} else {
-				slots[specced] = slot[S, R]{state: slotSkipped}
-			}
-			specced++
-		}
-		for i := cursor; i < limit && inflight < capacity; i++ {
-			if slots[i].state != slotPending {
+	// launch dispatches pending items in order while capacity allows.
+	launch := func() {
+		for i := cursor; i < specced && inflight < capacity; i++ {
+			s := at(i)
+			if s.state != slotPending {
 				continue
 			}
-			slots[i].state = slotRunning
+			s.state = slotRunning
 			inflight++
 			go func(i int, ep uint64, sp S, c context.Context) {
 				results <- outcome{i: i, epoch: ep, res: cfg.Exec(c, sp)}
-			}(i, epoch, slots[i].spec, ectx)
+			}(i, epoch, s.spec, ectx)
 		}
 	}
 
+	reset()
 	for cursor < cfg.Items {
-		switch slots[cursor].state {
-		case slotSkipped:
+		fill()
+		s := at(cursor)
+		if s.state == slotSkipped {
 			cursor++
 			continue
-		case slotReady:
-			d := cfg.Commit(cursor, slots[cursor].spec, slots[cursor].res)
-			if d.Workers > 0 {
-				capacity = d.Workers
-			}
-			switch d.Verdict {
-			case Stop:
-				drain()
+		}
+		if reached < cursor && cfg.Reach != nil {
+			reached = cursor
+			d := cfg.Reach(cursor)
+			if apply(d) {
 				return false
-			case Invalidate:
-				cursor++
-				epoch++
-				ecancel()
-				ectx, ecancel = epochCtx()
-				reset()
-			default:
-				cursor++
+			}
+			if d.Verdict == Invalidate {
+				invalidate()
+				continue
+			}
+		}
+		if s.state == slotReady {
+			d := cfg.Commit(cursor, s.spec, s.res)
+			if apply(d) {
+				return false
+			}
+			cursor++
+			if d.Verdict == Invalidate {
+				invalidate()
 			}
 			continue
 		}
-		dispatch()
-		if st := slots[cursor].state; st == slotSkipped || st == slotReady {
-			continue
-		}
+		launch()
 		// The cursor item is running (or blocked behind stale in-flight work
 		// holding the capacity): wait for any result.
 		o := <-results
 		inflight--
-		if o.epoch == epoch && slots[o.i].state == slotRunning {
-			slots[o.i].state = slotReady
-			slots[o.i].res = o.res
+		if r := at(o.i); o.epoch == epoch && r.state == slotRunning {
+			r.state = slotReady
+			r.res = o.res
 		}
 	}
 	drain()

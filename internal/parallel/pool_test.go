@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -285,5 +287,117 @@ func TestEdgeCases(t *testing.T) {
 	})
 	if ok || commits != 1 {
 		t.Fatalf("cancelled run: ok=%v commits=%d, want stopped after 1", ok, commits)
+	}
+}
+
+// The ring holds only Window slots, reused as the cursor advances: with a
+// window far shorter than the item list, skips and invalidations mixed in,
+// every non-skipped item must still commit exactly once, in order, from a
+// spec of the current epoch — a stale slot state left behind by the item
+// that used the slot before would mis-skip or mis-commit it.
+func TestRingReusesSlots(t *testing.T) {
+	const items = 97
+	for _, workers := range []int{1, 2, 3} {
+		var order []int
+		epoch := 0
+		specEpoch := map[int]int{}
+		ok := Run(context.Background(), Config[int, int]{
+			Items:   items,
+			Workers: workers,
+			Window:  3,
+			Reset:   func() { epoch++ },
+			Spec: func(i int) (int, bool) {
+				specEpoch[i] = epoch
+				return i, i%3 != 0 // every third item skipped
+			},
+			Exec: func(_ context.Context, s int) int { return s * s },
+			Commit: func(i int, spec, res int) Directive {
+				if spec != i || res != i*i {
+					t.Errorf("workers=%d commit %d: spec %d res %d", workers, i, spec, res)
+				}
+				if specEpoch[i] != epoch {
+					t.Errorf("workers=%d commit %d from epoch %d, current %d", workers, i, specEpoch[i], epoch)
+				}
+				order = append(order, i)
+				if i%5 == 1 {
+					return Directive{Verdict: Invalidate}
+				}
+				return Directive{}
+			},
+		})
+		if !ok {
+			t.Fatal("Run reported stopped")
+		}
+		var want []int
+		for i := 0; i < items; i++ {
+			if i%3 != 0 {
+				want = append(want, i)
+			}
+		}
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("workers=%d: commits %v, want %v", workers, order, want)
+		}
+	}
+}
+
+// Reach runs once per non-skipped item, in order, when every earlier item
+// has committed; with one worker the item has not started yet. Invalidate
+// from Reach re-specs the reached item itself before it runs.
+func TestReachAtTheCommitCursor(t *testing.T) {
+	const items = 20
+	for _, workers := range []int{1, 4} {
+		var (
+			reached   []int
+			committed = -1
+			started   sync.Map // items whose Exec has begun
+			respecced = map[int]int{}
+			level     = 0 // bumped by Reach at item 7: its spec must see it
+		)
+		type job struct{ item, level int }
+		ok := Run(context.Background(), Config[job, int]{
+			Items:   items,
+			Workers: workers,
+			Spec: func(i int) (job, bool) {
+				respecced[i]++
+				return job{i, level}, i != 4
+			},
+			Reach: func(i int) Directive {
+				if i <= committed {
+					t.Errorf("workers=%d: Reach(%d) after its commit", workers, i)
+				}
+				if n := len(reached); n > 0 && reached[n-1] >= i {
+					t.Errorf("workers=%d: Reach(%d) after Reach(%d)", workers, i, reached[n-1])
+				}
+				if _, ran := started.Load(i); workers == 1 && ran {
+					t.Errorf("workers=%d: item %d started before Reach", workers, i)
+				}
+				reached = append(reached, i)
+				if i == 7 {
+					level = 1
+					return Directive{Verdict: Invalidate}
+				}
+				return Directive{}
+			},
+			Exec: func(_ context.Context, s job) int {
+				started.Store(s.item, true)
+				return s.level
+			},
+			Commit: func(i int, s job, res int) Directive {
+				committed = i
+				if i >= 7 && s.level != 1 {
+					t.Errorf("workers=%d: item %d committed at level %d after the Reach invalidation", workers, i, s.level)
+				}
+				return Directive{}
+			},
+		})
+		if !ok {
+			t.Fatal("Run reported stopped")
+		}
+		if len(reached) != items-1 {
+			t.Fatalf("workers=%d: Reach ran for %v, want every item but the skipped 4", workers, reached)
+		}
+		if respecced[7] < 2 {
+			t.Fatalf("workers=%d: item 7 not re-specced after Reach invalidated it", workers)
+		}
 	}
 }

@@ -7,49 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"syscall"
 )
-
-// SaveJSON marshals v and writes it to path atomically: the bytes go to a
-// temporary file in the same directory, which is fsynced and renamed over
-// path, after which the parent directory is fsynced too — a rename alone is
-// atomic but not durable, and a crash could otherwise lose the new directory
-// entry. A reader (or a resumed run) therefore never observes a torn or
-// truncated journal, even if the writer is killed mid-write.
-func SaveJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		return fmt.Errorf("runctl: marshal journal: %w", err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("runctl: create journal temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("runctl: write journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("runctl: sync journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("runctl: close journal: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("runctl: publish journal: %w", err)
-	}
-	if err := SyncDir(dir); err != nil {
-		return fmt.Errorf("runctl: sync journal directory: %w", err)
-	}
-	return nil
-}
 
 // SyncDir fsyncs a directory, making previously renamed-in entries durable.
 // Filesystems that refuse to fsync directories (some network and overlay
@@ -70,23 +29,14 @@ func SyncDir(dir string) error {
 	return serr
 }
 
-// LoadJSON reads path and unmarshals it into v. The file must contain
+// ParseJSON decodes data (named name in errors) into v. The data must hold
 // exactly one JSON document: anything after it — as left behind by a
 // truncated journal that a later writer appended to, which json.Unmarshal
 // alone would reject but a streaming decode would silently ignore — is an
 // error, so a corrupted journal is refused rather than half-parsed. Parse
 // errors carry the line and column of the offending byte, so a torn or
-// truncated journal is diagnosable from the message alone.
-func LoadJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("runctl: read journal: %w", err)
-	}
-	return ParseJSON(path, data, v)
-}
-
-// ParseJSON decodes data (named name in errors) into v under LoadJSON's
-// strict contract: exactly one JSON document, positioned parse errors.
+// truncated journal is diagnosable from the message alone. This is the
+// contract behind durable.LoadJSON.
 func ParseJSON(name string, data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(v); err != nil {

@@ -2,8 +2,7 @@ package runctl
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -93,22 +92,17 @@ func TestFilterInjectSpec(t *testing.T) {
 	}
 }
 
-// TestLoadJSONTornJournal covers the torn-write family: a journal truncated
-// mid-document, one truncated mid-string, and one with a corrupted byte. All
-// must be rejected with a line-and-column diagnosis and must never half-load
-// the destination.
+// TestLoadJSONTornJournal covers the torn-write family under ParseJSON, the
+// strict decode behind durable.LoadJSON: a journal truncated mid-document,
+// one truncated mid-string, and one with a corrupted byte. All must be
+// rejected with a line-and-column diagnosis.
 func TestLoadJSONTornJournal(t *testing.T) {
 	type doc struct {
 		Version int    `json:"version"`
 		Name    string `json:"name"`
 		Items   []int  `json:"items"`
 	}
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-	if err := SaveJSON(full, doc{Version: 3, Name: "s27", Items: []int{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(full)
+	data, err := json.MarshalIndent(doc{Version: 3, Name: "s27", Items: []int{1, 2, 3}}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +127,8 @@ func TestLoadJSONTornJournal(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(dir, "torn.json")
-			if err := os.WriteFile(path, tc.mangle(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
 			got := doc{Version: -1}
-			err := LoadJSON(path, &got)
+			err := ParseJSON("torn.json", tc.mangle(data), &got)
 			if err == nil {
 				t.Fatalf("torn journal loaded: %+v", got)
 			}
@@ -149,17 +139,13 @@ func TestLoadJSONTornJournal(t *testing.T) {
 	}
 }
 
-// TestLoadJSONErrorLocationIsExact pins the line/column arithmetic: a known
-// corruption site must be reported at its exact position.
+// TestLoadJSONErrorLocationIsExact pins ParseJSON's line/column arithmetic:
+// a known corruption site must be reported at its exact position.
 func TestLoadJSONErrorLocationIsExact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
 	// Line 3 holds the bad token; the decoder reports the byte after it.
 	body := "{\n \"a\": 1,\n \"b\": nope\n}\n"
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var v map[string]any
-	err := LoadJSON(path, &v)
+	err := ParseJSON("bad.json", []byte(body), &v)
 	if err == nil {
 		t.Fatal("bad journal loaded")
 	}

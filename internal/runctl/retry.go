@@ -37,22 +37,8 @@ func Retry(attempts int, base time.Duration, fn func() error) error {
 	return err
 }
 
-// SaveJSONRetry is SaveJSON with the default retry budget and a
-// fault-injection site consulted once per attempt: an armed "site:k:fail"
-// rule makes the k-th attempt fail with InjectedFailure, so both the
-// retry-to-success and the degrade-after-exhaustion paths are testable
-// end-to-end. A nil *Hooks injects nothing.
-func SaveJSONRetry(h *Hooks, site, path string, v any) error {
-	return Retry(WriteAttempts, WriteBackoff, func() error {
-		if h.Enter(site) == ActFail {
-			return InjectedFailure{Site: site}
-		}
-		return SaveJSON(path, v)
-	})
-}
-
 // RetryWriter wraps an io.Writer with the same bounded retry-with-backoff
-// and injection site as SaveJSONRetry, for stream sinks (the NDJSON trace)
+// and injection site as durable.SaveJSONRetry, for stream sinks (the NDJSON trace)
 // whose writes should survive transient failures. Each Write retries the
 // whole payload; the underlying writer sees either zero or one successful
 // write per payload only if it is itself all-or-nothing per call, which the

@@ -3,8 +3,6 @@ package runctl
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -55,46 +53,6 @@ func TestParseInjectSpecFail(t *testing.T) {
 	}
 	if act := h.Enter("checkpoint.write"); act != ActFail {
 		t.Fatalf("call 2: action = %v, want ActFail", act)
-	}
-}
-
-func TestSaveJSONRetryRecoversFromInjectedFailure(t *testing.T) {
-	h, err := ParseInjectSpec("journal.write:1:fail")
-	if err != nil {
-		t.Fatalf("ParseInjectSpec: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "j.json")
-	if err := SaveJSONRetry(h, "journal.write", path, map[string]int{"a": 1}); err != nil {
-		t.Fatalf("SaveJSONRetry: %v", err)
-	}
-	var got map[string]int
-	if err := LoadJSON(path, &got); err != nil {
-		t.Fatalf("LoadJSON: %v", err)
-	}
-	if got["a"] != 1 {
-		t.Fatalf("journal round-trip: got %v", got)
-	}
-	if n := h.Calls("journal.write"); n != 2 {
-		t.Fatalf("site entered %d times, want 2 (fail then retry)", n)
-	}
-}
-
-func TestSaveJSONRetryExhaustsBudget(t *testing.T) {
-	h, err := ParseInjectSpec("journal.write:*:fail")
-	if err != nil {
-		t.Fatalf("ParseInjectSpec: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "j.json")
-	saveErr := SaveJSONRetry(h, "journal.write", path, 1)
-	var inj InjectedFailure
-	if !errors.As(saveErr, &inj) || inj.Site != "journal.write" {
-		t.Fatalf("SaveJSONRetry = %v, want InjectedFailure at journal.write", saveErr)
-	}
-	if n := h.Calls("journal.write"); n != WriteAttempts {
-		t.Fatalf("site entered %d times, want %d", n, WriteAttempts)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("journal published despite every attempt failing (stat err %v)", err)
 	}
 }
 

@@ -14,8 +14,8 @@
 //     can record the exact position in the pseudo-random stream and a
 //     resumed run can fast-forward to it, keeping results bit-identical.
 //
-//   - SaveJSON / LoadJSON: atomic (temp file + rename) persistence for the
-//     checkpoint journal.
+//   - ParseJSON / SyncDir: the strict single-document JSON decode and the
+//     directory fsync under internal/durable's sealed, atomic write path.
 //
 //   - Hooks: an injectable fault harness for tests — force a panic, a forced
 //     budget expiry or a slow search at the Kth call of a named site, so

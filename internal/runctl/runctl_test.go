@@ -3,8 +3,6 @@ package runctl
 import (
 	"context"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -102,44 +100,6 @@ func TestRandMatchesPlainRand(t *testing.T) {
 	}
 }
 
-func TestSaveLoadJSONRoundTrip(t *testing.T) {
-	type doc struct {
-		Name string
-		Seq  []int
-	}
-	path := filepath.Join(t.TempDir(), "journal.json")
-	want := doc{Name: "ckpt", Seq: []int{3, 1, 4}}
-	if err := SaveJSON(path, want); err != nil {
-		t.Fatal(err)
-	}
-	var got doc
-	if err := LoadJSON(path, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != want.Name || len(got.Seq) != 3 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	// No temp litter left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory not clean after save: %v", entries)
-	}
-}
-
-func TestSaveJSONFailureLeavesNoPartialFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "missing-subdir", "journal.json")
-	if err := SaveJSON(path, map[string]int{"a": 1}); err == nil {
-		t.Fatal("expected error writing into a missing directory")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("partial journal left behind")
-	}
-}
-
 func TestHooksPanicAtKthCall(t *testing.T) {
 	h := NewHooks()
 	h.Arm("generate", 3, ActPanic)
@@ -220,34 +180,26 @@ func TestParseInjectSpec(t *testing.T) {
 
 // A journal with anything after the JSON document — the signature of a
 // truncated file that a concurrent or crashed writer appended to — must be
-// refused, not half-parsed.
+// refused by ParseJSON (the decode behind durable.LoadJSON), not
+// half-parsed.
 func TestLoadJSONRejectsTrailingGarbage(t *testing.T) {
 	type doc struct{ A int }
-	dir := t.TempDir()
 	cases := map[string]string{
 		"concatenated": `{"A":1}{"A":2}`,
 		"text-suffix":  `{"A":1}garbage`,
 		"array-suffix": `{"A":1}[1,2]`,
 	}
 	for name, content := range cases {
-		path := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
 		var v doc
-		if err := LoadJSON(path, &v); err == nil {
+		if err := ParseJSON(name+".json", []byte(content), &v); err == nil {
 			t.Errorf("%s: trailing garbage accepted", name)
 		} else if !strings.Contains(err.Error(), "trailing data") {
 			t.Errorf("%s: unclear error %v", name, err)
 		}
 	}
 	// Trailing whitespace is not garbage.
-	ok := filepath.Join(dir, "ok.json")
-	if err := os.WriteFile(ok, []byte("{\"A\":1}\n\n  "), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var v doc
-	if err := LoadJSON(ok, &v); err != nil || v.A != 1 {
+	if err := ParseJSON("ok.json", []byte("{\"A\":1}\n\n  "), &v); err != nil || v.A != 1 {
 		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

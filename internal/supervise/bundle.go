@@ -71,7 +71,7 @@ type BundleConfig struct {
 // the good-machine state vector at the attempt's start, and the search
 // effort by the effective (possibly degraded) pass parameters.
 //
-// The struct is plain JSON, written atomically with runctl.SaveJSON.
+// The struct is plain JSON, written sealed and atomically by Save.
 type Bundle struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`

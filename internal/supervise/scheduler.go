@@ -8,13 +8,13 @@ package supervise
 // through the same Level machinery the serial Governor uses.
 //
 // Like the Governor, the Scheduler must be sampled only at deterministic
-// points (the driver samples it once per committed targeted fault, exactly
-// where the serial driver samples its Governor), never from a timer: with
-// the same pressure schedule, two runs produce identical decision logs. The
-// worker count itself never changes which faults are targeted, in what
-// order, or with what parameters — ordered commits pin all of that — so
-// throttling decisions affect wall clock only, which is why the worker
-// count stays outside the reproducibility contract.
+// points (the driver samples it once per targeted fault, when every earlier
+// fault has committed — where a one-worker run samples its Governor), never
+// from a timer: with the same pressure schedule, two runs produce identical
+// decision logs. The worker count itself never changes which faults are
+// targeted, in what order, or with what parameters — ordered commits pin all
+// of that — so throttling decisions affect wall clock only, which is why the
+// worker count stays outside the reproducibility contract.
 //
 // Decisions escalate and relax stepwise per sample:
 //
@@ -26,8 +26,12 @@ package supervise
 //
 // The invariant is that effort is shed only at one worker (Level > Normal
 // implies Workers() == 1), and concurrency is restored only at full effort.
-// With MaxWorkers == 1 the Scheduler reduces exactly to the Governor's
-// level schedule. A nil *Scheduler is inert: LevelNormal, one worker.
+// With MaxWorkers == 1 and DwellSamples <= 1 the Scheduler reduces exactly
+// to the Governor's level schedule. A longer dwell holds every level
+// restore until DwellSamples calm samples in a row, DwellSamples-1 samples
+// after the Governor would restore; that is why a one-worker hybrid run
+// samples its Governor directly. A nil *Scheduler is inert: LevelNormal, one
+// worker.
 type Scheduler struct {
 	// SoftBytes and HardBytes are the heap thresholds, as in Governor;
 	// both zero disables the scheduler (it then always reports LevelNormal

@@ -374,20 +374,45 @@ func TestSchedulerHardPressureDropsToOneWorker(t *testing.T) {
 
 // With one worker the scheduler reduces to the Governor's level schedule.
 func TestSchedulerSerialReducesToGovernor(t *testing.T) {
-	heap := uint64(0)
-	s := &Scheduler{SoftBytes: 100, HardBytes: 200, MaxWorkers: 1, Probe: func() uint64 { return heap }}
-	g := &Governor{SoftBytes: 100, HardBytes: 200, Probe: func() uint64 { return heap }}
-	for i, h := range []uint64{50, 100, 150, 250, 150, 10, 250, 50} {
-		heap = h
-		lvl, w := s.Sample(1)
-		// The governor re-evaluates fully per sample while the scheduler
-		// relaxes one step at a time, so compare after the step settles.
-		want := g.Sample(1)
-		if w != 1 {
-			t.Fatalf("step %d: scheduler grew %d workers under MaxWorkers=1", i, w)
+	schedule := []uint64{50, 100, 150, 250, 150, 10, 250, 50, 10, 10}
+	for _, dwell := range []int{0, 1, 2} {
+		heap := uint64(0)
+		probe := func() uint64 { return heap }
+		var sLog, gLog []Decision
+		s := &Scheduler{SoftBytes: 100, HardBytes: 200, MaxWorkers: 1, DwellSamples: dwell, Probe: probe,
+			OnDecision: func(d Decision) { sLog = append(sLog, d) }}
+		g := &Governor{SoftBytes: 100, HardBytes: 200, Probe: probe,
+			OnDecision: func(d Decision) { gLog = append(gLog, d) }}
+		lagged := false
+		for i, h := range schedule {
+			heap = h
+			lvl, w := s.Sample(1)
+			want := g.Sample(1)
+			if w != 1 {
+				t.Fatalf("dwell %d step %d: scheduler grew %d workers under MaxWorkers=1", dwell, i, w)
+			}
+			switch {
+			case lvl > want && dwell > 1:
+				// A dwell holds level restores back; it never sheds
+				// less than the governor.
+				lagged = true
+			case lvl != want:
+				t.Fatalf("dwell %d step %d (heap %d): scheduler level %v, governor %v", dwell, i, h, lvl, want)
+			}
 		}
-		if lvl > want {
-			t.Fatalf("step %d (heap %d): scheduler level %v above governor %v", i, h, lvl, want)
+		if dwell > 1 {
+			if !lagged {
+				t.Fatalf("dwell %d: no restore was held back; the schedule does not exercise the dwell", dwell)
+			}
+			continue
+		}
+		// Without a dwell the decision logs match too, apart from the
+		// worker fields only the scheduler records.
+		for i := range sLog {
+			sLog[i].FromWorkers, sLog[i].ToWorkers = 0, 0
+		}
+		if !reflect.DeepEqual(sLog, gLog) {
+			t.Fatalf("dwell %d: decision logs differ:\nscheduler %+v\ngovernor  %+v", dwell, sLog, gLog)
 		}
 	}
 }
